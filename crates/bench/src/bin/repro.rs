@@ -1,5 +1,7 @@
-//! Runs every table and figure reproduction in sequence — the one-shot
-//! harness behind `EXPERIMENTS.md`.
+//! Runs every table and figure reproduction in sequence, printing the
+//! rows and series the paper reports. End-to-end store-nym / load-nym
+//! timings are the repository benchmark's job (`BENCHMARK.json`, run
+//! with `python3 perfbench/run.py`).
 
 #![forbid(unsafe_code)]
 

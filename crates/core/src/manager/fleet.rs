@@ -5,10 +5,10 @@
 //!
 //! * [`NymManager::save_nyms_incremental`] — the batched store-nym
 //!   entry point. All requested sessions move through the store
-//!   pipeline's stages as one run: dirty-capture per session, chunk
-//!   hashing batched across sessions, sealing on one thread per
-//!   session (each session owns its scratch, RNG and chain keys, so
-//!   the threads share nothing and the output is bit-identical to a
+//!   pipeline's stages as one run: dirty-capture per session, then
+//!   chunk hashing and sealing spread over the host's cores (each
+//!   session owns its records, scratch, RNG and chain keys, so the
+//!   threads share nothing and the output is bit-identical to a
 //!   serial run), and one `put_many` upload per destination. The
 //!   simulation clock advances once, by the *concurrent* completion
 //!   time of the batch — N nyms saving together cost the wall time of
@@ -19,12 +19,13 @@
 //!   order; all randomness flows from the manager's world RNG and the
 //!   sessions' forked nonce RNGs, so a fleet run is reproducible
 //!   byte-for-byte from the manager's seed regardless of how many
-//!   threads the seal stage used.
+//!   threads the chunk and seal stages used.
 //!
 //! Determinism rule: fleet operations never consult wall-clock time or
-//! OS scheduling. Thread-level parallelism exists only in the seal
-//! stage, whose jobs are data-independent; results are reassembled in
-//! request order before anything touches shared state.
+//! OS scheduling. Thread-level parallelism exists only in the chunk
+//! and seal stages, whose per-session work is data-independent;
+//! results are reassembled in request order before anything touches
+//! shared state.
 
 use nymix_anon::AnonymizerKind;
 use nymix_sim::SimDuration;
@@ -53,10 +54,9 @@ impl NymManager {
     ///
     /// Each session keeps its own chain semantics (delta when its
     /// chain can absorb one, full compaction otherwise); the batch
-    /// shares the pipeline: cross-session `sha256_x4` chunk hashing,
-    /// one seal thread per session, one backend round trip per
-    /// destination. The clock advances by the batch's concurrent
-    /// completion time.
+    /// shares the pipeline: chunk hashing and sealing spread over the
+    /// host's cores, one backend round trip per destination. The clock
+    /// advances by the batch's concurrent completion time.
     pub fn save_nyms_incremental(
         &mut self,
         reqs: &[FleetSaveRequest<'_>],
@@ -421,6 +421,68 @@ mod tests {
             assert!(m.has_stain(id, &format!("serial-{i}")).unwrap());
             assert!(m.has_stain(id, &format!("batch-{i}")).unwrap());
             m.destroy_nym(id).unwrap();
+        }
+    }
+
+    /// Every object the shared account holds after each of two 8-nym
+    /// fleet save rounds — the full base, then a delta — with the
+    /// pipeline's chunk and seal stages spread over `workers` threads.
+    fn fleet_objects_per_round(workers: usize) -> Vec<Vec<(String, Vec<u8>)>> {
+        let mut m = NymManager::new(506, 16);
+        m.register_cloud("drive", "shared-acct", "tok");
+        let fleet = NymFleet::spawn(&mut m, "w", 8, AnonymizerKind::Tor, UsageModel::Persistent)
+            .expect("capacity for 8 nymboxes");
+        let sites = [Site::Twitter, Site::Bbc, Site::Facebook];
+        let dest = shared_dest();
+        let mut rounds = Vec::new();
+        for round in 0..2 {
+            fleet
+                .visit_round(&mut m, |i| sites[(i + round) % sites.len()])
+                .expect("live fleet");
+            for (i, id) in fleet.ids().iter().enumerate() {
+                m.inject_stain(*id, &format!("r{round}-n{i}")).unwrap();
+            }
+            let reqs = fleet
+                .ids()
+                .iter()
+                .map(|&id| SaveRequest {
+                    id,
+                    password: "pw",
+                    dest: &dest,
+                    allow_delta: true,
+                })
+                .collect();
+            m.pipeline
+                .save_many_on(&mut m.env, &mut m.sessions, reqs, workers)
+                .expect("fleet save");
+            let mut objects = account_objects(&m, "");
+            objects.sort();
+            rounds.push(objects);
+        }
+        rounds
+    }
+
+    #[test]
+    fn threaded_fleet_save_uploads_same_bytes_as_one_worker() {
+        // One worker runs the fused per-session schedule on the calling
+        // thread; three split the 8 sessions into uneven runs (3, 3, 2)
+        // across scoped threads. The stored objects must not differ by
+        // a single name or byte, in any round.
+        let serial = fleet_objects_per_round(1);
+        assert!(
+            serial[0].iter().any(|(n, _)| n.contains("/c/")),
+            "the fleet's records must chunk, or the chunk stage goes untested"
+        );
+        let threaded = fleet_objects_per_round(3);
+        assert_eq!(threaded.len(), serial.len());
+        for (round, (s, t)) in serial.iter().zip(&threaded).enumerate() {
+            let names = |objs: &[(String, Vec<u8>)]| -> Vec<String> {
+                objs.iter().map(|(n, _)| n.clone()).collect()
+            };
+            assert_eq!(names(s), names(t), "round {round}: object names differ");
+            for ((name, a), (_, b)) in s.iter().zip(t) {
+                assert!(a == b, "round {round}: bytes of {name} differ");
+            }
         }
     }
 

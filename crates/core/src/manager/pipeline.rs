@@ -9,9 +9,10 @@
 //!    counters, and stage the new archive. Sequential — it touches the
 //!    shared hypervisor.
 //! 2. **Chunk**: convert large dirty records to `"NYMC"` manifests.
-//!    Chunk hashing is batched **across sessions** with
-//!    [`nymix_store::build_manifests`], so equal-length chunks from
-//!    different nyms share `sha256_x4` passes.
+//!    Each session builds its own manifests
+//!    ([`nymix_store::build_manifests`]) inside its `chunk` span, and
+//!    the sessions spread over the same worker threads as the seal
+//!    stage.
 //! 3. **Seal**: derive/reuse the chain key, seal chunk objects
 //!    (entropy-gated) and the delta or full blob. Each session owns
 //!    its scratch arena, RNG and chain key, so N sessions seal on N
@@ -224,23 +225,40 @@ impl StorePipeline {
             .filter(|e| *e > 0)
     }
 
-    /// Runs the full staged pipeline over every request: capture →
-    /// chunk → seal (threaded when more than one session saves) →
-    /// upload. Outcomes are in request order; the simulation clock
-    /// advances once, by the concurrent completion time of the batch.
-    ///
-    /// On a single-core host the capture/chunk/seal stages run *fused*
-    /// per session instead (each session's raw records go cold-to-hot
-    /// through chunking and sealing back to back, and are dropped
-    /// before the next session captures) — staging only pays when the
-    /// seal stage can actually spread across threads. Both schedules
-    /// produce bit-identical output: every job's randomness comes from
-    /// its session's own forked RNG.
+    /// Runs the full staged pipeline over every request, on as many
+    /// worker threads as the host has cores (see
+    /// [`StorePipeline::save_many_on`]).
     pub(super) fn save_many(
         &mut self,
         env: &mut Environment,
         sessions: &mut BTreeMap<NymId, NymSession>,
         reqs: Vec<SaveRequest<'_>>,
+    ) -> Result<Vec<SaveOutcome>, NymManagerError> {
+        let workers = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        self.save_many_on(env, sessions, reqs, workers)
+    }
+
+    /// Runs the full staged pipeline over every request: capture →
+    /// chunk → seal (both spread over up to `workers` threads when
+    /// more than one session saves) → upload. Outcomes are in request
+    /// order; the simulation clock advances once, by the concurrent
+    /// completion time of the batch.
+    ///
+    /// With one worker the capture/chunk/seal stages run *fused* per
+    /// session instead (each session's raw records go cold-to-hot
+    /// through chunking and sealing back to back, and are dropped
+    /// before the next session captures) — staging only pays when the
+    /// chunk and seal stages can actually spread across threads. Every
+    /// worker count produces bit-identical output: every job's
+    /// randomness comes from its session's own forked RNG.
+    pub(super) fn save_many_on(
+        &mut self,
+        env: &mut Environment,
+        sessions: &mut BTreeMap<NymId, NymSession>,
+        reqs: Vec<SaveRequest<'_>>,
+        workers: usize,
     ) -> Result<Vec<SaveOutcome>, NymManagerError> {
         // Validate every id before any capture runs: a capture moves
         // the session's chain into its plan, so failing mid-batch on a
@@ -250,46 +268,44 @@ impl StorePipeline {
                 return Err(NymManagerError::NoSuchNym(req.id));
             }
         }
-        nymix_obs::sim_clock(env.clock.as_micros());
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(reqs.len());
+        let now_us = env.clock.as_micros();
+        nymix_obs::sim_clock(now_us);
+        let workers = workers.min(reqs.len());
         let sealed = if workers <= 1 {
             // Fused schedule: capture → chunk → delta → seal, one
             // session at a time.
             let mut sealed = Vec::with_capacity(reqs.len());
             for req in reqs {
                 let mut plans = vec![self.capture(env, sessions, req)?];
-                self.chunk_stage(&mut plans, false);
+                self.chunk_stage(&mut plans, false, 1, now_us);
                 build_delta(&mut plans[0]);
-                self.full_fallback(env, sessions, &mut plans)?;
+                self.full_fallback(env, sessions, &mut plans, 1)?;
                 let plan = plans.pop().expect("one plan");
                 sealed.push(seal_one(self.seal_job(sessions, plan)));
             }
             sealed
         } else {
             // Staged schedule: capture everything (sequential — it
-            // touches the shared hypervisor), batch the chunk hashing
-            // across sessions, then seal on one thread per session.
+            // touches the shared hypervisor), then chunk and seal the
+            // sessions on the worker threads.
             let mut plans = Vec::with_capacity(reqs.len());
             for req in reqs {
                 plans.push(self.capture(env, sessions, req)?);
             }
-            self.chunk_stage(&mut plans, false);
+            self.chunk_stage(&mut plans, false, workers, now_us);
             for plan in &mut plans {
                 build_delta(plan);
             }
             // Delta didn't pay off (or wasn't possible) for some
             // plans: re-capture their carried-over clean layers raw so
             // the new base is self-contained, then chunk the
-            // re-captures (batched across plans again).
-            self.full_fallback(env, sessions, &mut plans)?;
+            // re-captures (on the workers again).
+            self.full_fallback(env, sessions, &mut plans, workers)?;
             let jobs: Vec<SealJob> = plans
                 .into_iter()
                 .map(|plan| self.seal_job(sessions, plan))
                 .collect();
-            seal_stage(jobs, workers, env.clock.as_micros())
+            on_workers(jobs, workers, now_us, seal_one)
         };
 
         // Stage 4: upload (grouped per destination) + bookkeeping.
@@ -674,57 +690,18 @@ impl StorePipeline {
     }
 
     /// Stage 2: convert captured records at or above the chunk
-    /// threshold into `"NYMC"` manifests. Manifest hashing is batched
-    /// across every plan in the run. With `fallback` set, only plans
-    /// that fell back to a full save participate (their re-captured
-    /// clean layers need converting too).
-    fn chunk_stage(&self, plans: &mut [SavePlan<'_>], fallback: bool) {
+    /// threshold into `"NYMC"` manifests, one session per
+    /// [`chunk_plan`] call, spread over up to `workers` threads. With
+    /// `fallback` set, only plans that fell back to a full save
+    /// participate (their re-captured clean layers need converting
+    /// too).
+    fn chunk_stage(&self, plans: &mut [SavePlan<'_>], fallback: bool, workers: usize, now_us: u64) {
         if !self.chunking {
             return;
         }
-        // (plan index, record name, raw bytes) for every convertible
-        // record, then one batched manifest build over all of them.
-        let mut raws: Vec<(usize, &'static str, Vec<u8>)> = Vec::new();
-        for (pi, plan) in plans.iter_mut().enumerate() {
-            // Per-session chunk span: covers this plan's record
-            // extraction; the cross-session batched manifest hashing
-            // below is shared work and deliberately unattributed.
-            let _span = nymix_obs::span!("chunk", "session" => plan.req.id.0);
-            if !plan.req.allow_delta || (fallback && plan.delta.is_some()) {
-                continue;
-            }
-            let names: Vec<&'static str> = plan
-                .dirty_old
-                .iter()
-                .map(|(n, _)| *n)
-                .filter(|n| {
-                    plan.next
-                        .get(n)
-                        .is_some_and(|d| d.len() >= CHUNK_RECORD_THRESHOLD)
-                        && ChunkManifest::from_bytes(plan.next.get(n).expect("checked")).is_err()
-                })
-                .collect();
-            for name in names {
-                // Swap the record bytes out rather than copying them
-                // (the raw payload is needed once more, for the chunk
-                // upload); the in-place replace keeps record order,
-                // which the Merkle commitment depends on.
-                let raw = plan
-                    .next
-                    .replace(name, Vec::new())
-                    .expect("record present above");
-                raws.push((pi, name, raw));
-            }
-        }
-        if raws.is_empty() {
-            return;
-        }
-        let views: Vec<&[u8]> = raws.iter().map(|(_, _, d)| d.as_slice()).collect();
-        let manifests = cas::build_manifests(&views);
-        for ((pi, name, raw), manifest) in raws.into_iter().zip(manifests) {
-            plans[pi].next.replace(name, manifest.to_bytes());
-            plans[pi].chunked.push((name.to_string(), raw, manifest));
-        }
+        on_workers(plans.iter_mut().collect(), workers, now_us, |plan| {
+            chunk_plan(plan, fallback)
+        });
     }
 
     /// Re-captures clean layers raw for plans whose delta didn't pay
@@ -735,6 +712,7 @@ impl StorePipeline {
         env: &mut Environment,
         sessions: &mut BTreeMap<NymId, NymSession>,
         plans: &mut [SavePlan<'_>],
+        workers: usize,
     ) -> Result<(), NymManagerError> {
         for plan in plans.iter_mut() {
             if !plan.want_delta || plan.delta.is_some() {
@@ -759,8 +737,54 @@ impl StorePipeline {
                 plan.dirty_old.push((name, old));
             }
         }
-        self.chunk_stage(plans, true);
+        self.chunk_stage(plans, true, workers, env.clock.as_micros());
         Ok(())
+    }
+}
+
+/// Chunks one plan's captured records, inside the session's `chunk`
+/// span: record extraction and the manifest hashing alike, so the
+/// stage's whole cost is attributed to the session that caused it.
+/// Manifest IDs depend only on record bytes, so building them per
+/// session yields exactly what a cross-session batch would.
+fn chunk_plan(plan: &mut SavePlan<'_>, fallback: bool) {
+    let _span = nymix_obs::span!("chunk", "session" => plan.req.id.0);
+    if !plan.req.allow_delta || (fallback && plan.delta.is_some()) {
+        return;
+    }
+    let names: Vec<&'static str> = plan
+        .dirty_old
+        .iter()
+        .map(|(n, _)| *n)
+        .filter(|n| {
+            plan.next
+                .get(n)
+                .is_some_and(|d| d.len() >= CHUNK_RECORD_THRESHOLD)
+                && ChunkManifest::from_bytes(plan.next.get(n).expect("checked")).is_err()
+        })
+        .collect();
+    if names.is_empty() {
+        return;
+    }
+    // Swap the record bytes out rather than copying them (the raw
+    // payload is needed once more, for the chunk upload); the in-place
+    // replace keeps record order, which the Merkle commitment depends
+    // on.
+    let raws: Vec<(&'static str, Vec<u8>)> = names
+        .into_iter()
+        .map(|name| {
+            let raw = plan
+                .next
+                .replace(name, Vec::new())
+                .expect("record present above");
+            (name, raw)
+        })
+        .collect();
+    let views: Vec<&[u8]> = raws.iter().map(|(_, d)| d.as_slice()).collect();
+    let manifests = cas::build_manifests(&views);
+    for ((name, raw), manifest) in raws.into_iter().zip(manifests) {
+        plan.next.replace(name, manifest.to_bytes());
+        plan.chunked.push((name.to_string(), raw, manifest));
     }
 }
 
@@ -796,35 +820,47 @@ fn build_delta(plan: &mut SavePlan<'_>) {
     }
 }
 
-/// Stage 3: run every seal job, on one thread per job when the run is
-/// batched. Jobs are fully owned and independent — each session's
-/// scratch, RNG and keys travel with its job — so scheduling cannot
-/// change any output byte.
-fn seal_stage<'a>(mut jobs: Vec<SealJob<'a>>, workers: usize, now_us: u64) -> Vec<SealedSave<'a>> {
-    if jobs.len() <= 1 || workers <= 1 {
-        return jobs.drain(..).map(seal_one).collect();
+/// Runs `f` over `items` on up to `workers` scoped threads, one
+/// contiguous run of items per thread, and returns the results in
+/// input order; with one worker (or one item) everything runs on the
+/// calling thread. The chunk and seal stages both schedule through
+/// here. Items are fully owned and independent — each session's
+/// records, scratch, RNG and keys travel with its item — so scheduling
+/// cannot change any output byte.
+fn on_workers<T: Send, R: Send>(
+    items: Vec<T>,
+    workers: usize,
+    now_us: u64,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    if items.len() <= 1 || workers <= 1 {
+        return items.into_iter().map(f).collect();
     }
-    let workers = workers.min(jobs.len());
-    let per = jobs.len().div_ceil(workers);
-    let mut slots: Vec<Option<SealJob>> = jobs.drain(..).map(Some).collect();
-    let mut results: Vec<Option<SealedSave>> =
-        std::iter::repeat_with(|| None).take(slots.len()).collect();
+    let per = items.len().div_ceil(workers.min(items.len()));
+    let mut items = items.into_iter().peekable();
+    let mut runs: Vec<Vec<T>> = Vec::new();
+    while items.peek().is_some() {
+        runs.push(items.by_ref().take(per).collect());
+    }
+    let f = &f;
     std::thread::scope(|scope| {
-        for (job_chunk, result_chunk) in slots.chunks_mut(per).zip(results.chunks_mut(per)) {
-            scope.spawn(move || {
-                // Worker threads carry their own sim-clock view; seed
-                // it so seal spans report the batch's modeled time.
-                nymix_obs::sim_clock(now_us);
-                for (job, result) in job_chunk.iter_mut().zip(result_chunk.iter_mut()) {
-                    *result = Some(seal_one(job.take().expect("job present")));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job sealed"))
-        .collect()
+        let handles: Vec<_> = runs
+            .into_iter()
+            .map(|run| {
+                scope.spawn(move || {
+                    // Worker threads carry their own sim-clock view;
+                    // seed it so stage spans report the batch's
+                    // modeled time.
+                    nymix_obs::sim_clock(now_us);
+                    run.into_iter().map(f).collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 /// Seals one plan: chunk objects first (entropy-gated, deduplicated

@@ -299,17 +299,6 @@ impl ChaCha20 {
             }
         }
     }
-
-    /// Produces `len` bytes of raw keystream.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a keystream Vec per call; use `xor_into` on a caller buffer instead"
-    )]
-    pub fn keystream(&mut self, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        self.xor_into(&mut out);
-        out
-    }
 }
 
 /// Encrypts (or decrypts) `data` in place with the RFC 8439 convention of
@@ -415,18 +404,6 @@ only one tip for the future, sunscreen would be it.";
         let mut seeked = [0u8; 64];
         c.xor_into(&mut seeked);
         assert_eq!(direct, seeked);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn keystream_is_deterministic() {
-        let key = [9u8; 32];
-        let nonce = [4u8; 12];
-        let k1 = ChaCha20::new(&key, &nonce, 0).keystream(100);
-        let k2 = ChaCha20::new(&key, &nonce, 0).keystream(100);
-        assert_eq!(k1, k2);
-        let k3 = ChaCha20::new(&key, &nonce, 1).keystream(100);
-        assert_ne!(k1, k3);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * [`ChaCha20::xor_into`] XORs keystream directly into a caller buffer,
 //!   word-vectorized over 64-byte blocks (4-block batched kernel), with
 //!   [`ChaCha20::seek`] for repositioning. No keystream `Vec` is ever
-//!   allocated; `ChaCha20::keystream` is deprecated accordingly.
+//!   allocated.
 //! * [`Poly1305`] is an incremental `update`/`finalize` hasher, so MACs
 //!   stream over scattered slices without a scratch copy.
 //! * [`seal_in_place_detached`] / [`open_in_place_detached`] encrypt and
@@ -48,12 +48,11 @@
 //!
 //! The SHA-256 compression kernel is selected once per process at
 //! runtime rather than at compile time: the `NYMIX_SHA_BACKEND` env
-//! var (`scalar|x4|avx2|shani`) overrides, otherwise CPUID picks
-//! SHA-NI, then AVX2, then the portable [`sha256_x4`]/scalar floor
-//! that every build retains. The accelerated kernels exist only under
-//! the opt-in `simd-kernels` feature (without it this crate still
-//! `forbid(unsafe_code)`s), and every backend is proptested
-//! bit-identical to the scalar floor. See the
+//! var (`scalar|x4|shani`) overrides, otherwise CPUID picks SHA-NI,
+//! then the portable [`sha256_x4`]/scalar floor that every build
+//! retains. Every x86_64 build compiles the SHA-NI kernel (other
+//! targets have no kernel and `forbid(unsafe_code)`), and every
+//! backend is proptested bit-identical to the scalar floor. See the
 //! [`sha256`](mod@crate::sha256) module docs for the full model;
 //! [`sha256_backend`] / [`set_sha_backend`] expose the selection.
 //! * [`HmacKey`] caches the ipad/opad midstates so every MAC under a
@@ -80,13 +79,13 @@
 //! All implementations are validated against published test vectors in
 //! their module tests. The crate has no dependencies and performs no I/O.
 
-// Without the opt-in kernels this crate carries no unsafe code at all;
-// with them, unsafe stays denied everywhere except the two cfg-gated
-// kernel modules, which override with a file-level allow that
-// nymix-lint cross-checks against its registered unsafe-kernel
-// exemptions (forbid could not be overridden, hence the downgrade).
-#![cfg_attr(not(feature = "simd-kernels"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd-kernels", deny(unsafe_code))]
+// Off x86_64 this crate carries no unsafe code at all. On x86_64,
+// unsafe stays denied everywhere except the cfg-gated SHA-NI kernel
+// module, which overrides with a file-level allow that nymix-lint
+// cross-checks against its registered unsafe-kernel exemption (forbid
+// could not be overridden, hence the downgrade).
+#![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
+#![cfg_attr(target_arch = "x86_64", deny(unsafe_code))]
 #![warn(missing_docs)]
 
 pub mod aead;

@@ -35,21 +35,22 @@
 //! performance envelope is gone. The kernel behind all three entry
 //! points is therefore selected **at runtime**, once per process:
 //!
-//! 1. `NYMIX_SHA_BACKEND=scalar|x4|avx2|shani` overrides everything
+//! 1. `NYMIX_SHA_BACKEND=scalar|x4|shani` overrides everything
 //!    (testing / forensics). Naming a kernel this build or CPU cannot
-//!    run falls back to the portable [`ShaBackend::X4`] floor — it
-//!    never silently upgrades to a different accelerated path.
-//! 2. Otherwise CPUID picks the best supported kernel: SHA-NI
-//!    (hardware rounds), then AVX2 (the interleaved kernel compiled in
-//!    a verified-AVX2 context), then the portable floor.
+//!    run, or a name this build does not know, falls back to the
+//!    portable [`ShaBackend::X4`] floor — it never silently upgrades
+//!    to an accelerated path.
+//! 2. Otherwise CPUID picks SHA-NI (hardware rounds) when the CPU has
+//!    it, else the portable floor.
 //!
-//! The accelerated kernels live in cfg-isolated child modules
-//! (`shani`, `avx2`) compiled only under the `simd-kernels` feature on
-//! `x86_64`; they are the only unsafe code in the workspace, and
-//! `nymix-lint` carries them as registered, reason-required
-//! `unsafe-kernel` exemptions. Without the feature the crate still
-//! `forbid(unsafe_code)`s and runs the portable scalar/[`sha256_x4`]
-//! kernels, which remain the bit-identical floor on every target.
+//! The SHA-NI kernel lives in the cfg-isolated child module `shani`,
+//! compiled into every `x86_64` build with no feature to turn on, so
+//! the shipped binary runs at hardware speed wherever the CPU allows.
+//! It is the only unsafe code in the workspace, and `nymix-lint`
+//! carries it as a registered, reason-required `unsafe-kernel`
+//! exemption. Other targets `forbid(unsafe_code)` and run the portable
+//! scalar/[`sha256_x4`] kernels, which remain the bit-identical floor
+//! on every target.
 //! [`sha256_backend`] reports the selection (and exports it as the
 //! `crypto.sha256.backend` gauge); [`set_sha_backend`] forces it.
 
@@ -335,8 +336,8 @@ fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// The portable block loop — also the fallback the cfg-gated kernels
-/// take when the runtime CPU check says no.
+/// The portable block loop — also the fallback the cfg-gated kernel
+/// takes when the runtime CPU check says no.
 fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
     for block in data.chunks_exact(BLOCK_LEN) {
         compress_block(state, block.try_into().expect("exact chunk"));
@@ -350,7 +351,7 @@ fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
 pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % BLOCK_LEN, 0);
     nymix_obs::counter!("crypto.sha256.blocks", data.len() / BLOCK_LEN);
-    #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if backend() == ShaBackend::ShaNi {
         shani::compress_blocks(state, data);
         return;
@@ -428,8 +429,10 @@ impl Sha256 {
             self.buf_len += take;
             input = &input[take..];
             if self.buf_len == BLOCK_LEN {
+                // Through the dispatched kernel like every other block,
+                // so a staged block runs on SHA-NI and is counted.
                 let block = self.buf;
-                compress_block(&mut self.state, &block);
+                compress_blocks(&mut self.state, &block);
                 self.buf_len = 0;
             }
         }
@@ -571,9 +574,7 @@ fn compress4(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) 
                 compress_block(state, block);
             }
         }
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
-        ShaBackend::Avx2 => avx2::compress4(states, blocks),
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         ShaBackend::ShaNi => {
             // SHA-NI is a single-stream unit; lane-serial hardware
             // rounds still beat the interleaved software kernel.
@@ -586,9 +587,7 @@ fn compress4(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) 
 }
 
 /// The portable interleaved kernel: one block per lane, all four lanes
-/// in lockstep. `inline(always)` so the cfg-gated AVX2 wrapper can
-/// recompile this exact body inside a verified-AVX2 context.
-#[inline(always)]
+/// in lockstep.
 fn compress4_portable(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) {
     let mut w = [[0u32; LANES]; 16];
     for (t, lane_words) in w.iter_mut().enumerate() {
@@ -719,9 +718,7 @@ pub fn sha256_x4(prefix: &[u8], msgs: [&[u8]; LANES]) -> [[u8; DIGEST_LEN]; LANE
 // Runtime backend dispatch
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
-mod avx2;
-#[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod shani;
 
 use core::sync::atomic::{AtomicU8, Ordering};
@@ -729,7 +726,8 @@ use core::sync::atomic::{AtomicU8, Ordering};
 /// The SHA-256 compression kernel a process dispatches to (see the
 /// [module docs](self#runtime-backend-dispatch) for the selection
 /// order). Discriminants are stable: they are what the
-/// `crypto.sha256.backend` gauge exports.
+/// `crypto.sha256.backend` gauge exports (3 was a since-removed AVX2
+/// kernel and stays unassigned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ShaBackend {
@@ -739,15 +737,11 @@ pub enum ShaBackend {
     Scalar = 1,
     /// Portable four-lane interleaved kernel ([`sha256_x4`]) for
     /// batches, unrolled scalar for single streams. The default on
-    /// targets without verified CPU features — always available.
+    /// CPUs without SHA extensions — always available.
     X4 = 2,
-    /// The interleaved kernel recompiled in a CPUID-verified AVX2
-    /// context, so cross-lane vectorization no longer depends on
-    /// build-wide codegen flags. Requires the `simd-kernels` feature.
-    Avx2 = 3,
     /// Hardware SHA extensions (single-stream `sha256rnds2` rounds);
-    /// batches run lane-serial through the hardware unit. Requires the
-    /// `simd-kernels` feature.
+    /// batches run lane-serial through the hardware unit. Compiled
+    /// into every `x86_64` build; selected when CPUID reports `sha`.
     ShaNi = 4,
 }
 
@@ -757,7 +751,6 @@ impl ShaBackend {
         match self {
             ShaBackend::Scalar => "scalar",
             ShaBackend::X4 => "x4",
-            ShaBackend::Avx2 => "avx2",
             ShaBackend::ShaNi => "shani",
         }
     }
@@ -771,7 +764,6 @@ impl ShaBackend {
         match name {
             "scalar" => Some(ShaBackend::Scalar),
             "x4" => Some(ShaBackend::X4),
-            "avx2" => Some(ShaBackend::Avx2),
             "shani" => Some(ShaBackend::ShaNi),
             _ => None,
         }
@@ -785,16 +777,14 @@ static BACKEND: AtomicU8 = AtomicU8::new(0);
 fn backend_supported(b: ShaBackend) -> bool {
     match b {
         ShaBackend::Scalar | ShaBackend::X4 => true,
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
-        ShaBackend::Avx2 => std::is_x86_feature_detected!("avx2"),
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         ShaBackend::ShaNi => {
             std::is_x86_feature_detected!("sha")
                 && std::is_x86_feature_detected!("ssse3")
                 && std::is_x86_feature_detected!("sse4.1")
         }
-        #[cfg(not(all(feature = "simd-kernels", target_arch = "x86_64")))]
-        ShaBackend::Avx2 | ShaBackend::ShaNi => false,
+        #[cfg(not(target_arch = "x86_64"))]
+        ShaBackend::ShaNi => false,
     }
 }
 
@@ -802,24 +792,24 @@ fn backend_supported(b: ShaBackend) -> bool {
 fn detect_backend() -> ShaBackend {
     if backend_supported(ShaBackend::ShaNi) {
         ShaBackend::ShaNi
-    } else if backend_supported(ShaBackend::Avx2) {
-        ShaBackend::Avx2
     } else {
         ShaBackend::X4
     }
 }
 
-/// One-time selection: env override first, then CPUID.
-fn select_backend() -> ShaBackend {
-    match std::env::var("NYMIX_SHA_BACKEND") {
-        Ok(name) => match ShaBackend::from_name(name.trim()) {
+/// One-time selection: the `NYMIX_SHA_BACKEND` override first, then
+/// CPUID.
+fn select_backend(requested: Option<&str>) -> ShaBackend {
+    match requested {
+        Some(name) => match ShaBackend::from_name(name.trim()) {
             // An override naming a kernel this build or CPU cannot run
-            // falls back to the portable floor — it must never
-            // silently upgrade to a different accelerated path.
+            // (or one it does not know) falls back to the portable
+            // floor — it must never silently upgrade to an
+            // accelerated path.
             Some(b) if backend_supported(b) => b,
             _ => ShaBackend::X4,
         },
-        Err(_) => detect_backend(),
+        None => detect_backend(),
     }
 }
 
@@ -828,10 +818,9 @@ fn backend() -> ShaBackend {
     match BACKEND.load(Ordering::Relaxed) {
         1 => ShaBackend::Scalar,
         2 => ShaBackend::X4,
-        3 => ShaBackend::Avx2,
         4 => ShaBackend::ShaNi,
         _ => {
-            let b = select_backend();
+            let b = select_backend(std::env::var("NYMIX_SHA_BACKEND").ok().as_deref());
             BACKEND.store(b as u8, Ordering::Relaxed);
             b
         }
@@ -1002,13 +991,7 @@ mod tests {
             .map(|&n| sha256_x4(b"tag:", [&data[..n], &data[..n], &data[..n], &data[..n]]))
             .collect();
 
-        let all = [
-            ShaBackend::Scalar,
-            ShaBackend::X4,
-            ShaBackend::Avx2,
-            ShaBackend::ShaNi,
-        ];
-        for requested in all {
+        for requested in [ShaBackend::Scalar, ShaBackend::X4, ShaBackend::ShaNi] {
             let installed = set_sha_backend(requested);
             // Unsupported requests must land on the portable floor,
             // never a different accelerated kernel.
@@ -1053,21 +1036,26 @@ mod tests {
             }
         }
 
-        // On a simd-kernels x86_64 build the accelerated requests must
-        // actually install when the CPU advertises the features.
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
-        {
-            if std::is_x86_feature_detected!("avx2") {
-                assert_eq!(set_sha_backend(ShaBackend::Avx2), ShaBackend::Avx2);
-            }
-            if std::is_x86_feature_detected!("sha") {
-                assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::ShaNi);
-            }
+        // Every x86_64 build — no feature flags involved — compiles the
+        // SHA-NI kernel, so CPUID alone decides: a CPU reporting `sha`
+        // gets it, both from detection and from a forced request.
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sha") {
+            assert_eq!(detect_backend(), ShaBackend::ShaNi);
+            assert_eq!(select_backend(None), ShaBackend::ShaNi);
+            assert_eq!(select_backend(Some("shani")), ShaBackend::ShaNi);
+            assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::ShaNi);
         }
-        #[cfg(not(all(feature = "simd-kernels", target_arch = "x86_64")))]
-        {
-            assert_eq!(set_sha_backend(ShaBackend::Avx2), ShaBackend::X4);
-            assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::X4);
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::X4);
+
+        // Override names: known portable kernels install as asked;
+        // unknown names — including the removed `avx2` — land on the
+        // portable floor.
+        assert_eq!(select_backend(Some("scalar")), ShaBackend::Scalar);
+        assert_eq!(select_backend(Some(" x4 ")), ShaBackend::X4);
+        for unknown in ["avx2", "AVX2", "", "sha-ni"] {
+            assert_eq!(select_backend(Some(unknown)), ShaBackend::X4, "{unknown:?}");
         }
 
         set_sha_backend(prev);

@@ -258,25 +258,44 @@ proptest! {
         // Every dispatched kernel must agree with the strictly-serial
         // scalar floor over arbitrary lengths and split points, both
         // single-stream and through the four-lane batch entry point.
+        // The four lanes carry distinct messages, each checked against
+        // its own single-stream digest, so a lane mix-up cannot hide.
         use nymix_crypto::{set_sha_backend, sha256_backend, sha256_x4, ShaBackend};
         let prev = sha256_backend();
         let split = split.min(data.len());
+        let lanes: Vec<Vec<u8>> = (0..4u8)
+            .map(|l| data.iter().map(|b| b ^ l.wrapping_mul(0x3b)).collect())
+            .collect();
+        let lane_refs = [&lanes[0][..], &lanes[1][..], &lanes[2][..], &lanes[3][..]];
         set_sha_backend(ShaBackend::Scalar);
         let want = nymix_crypto::sha256(&data);
-        let want_x4 = sha256_x4(b"p:", [&data, &data, &data, &data]);
-        for requested in [ShaBackend::X4, ShaBackend::Avx2, ShaBackend::ShaNi] {
+        let want_lanes: Vec<[u8; 32]> = lanes
+            .iter()
+            .map(|lane| {
+                let mut h = Sha256::new();
+                h.update(b"p:");
+                h.update(lane);
+                h.finalize()
+            })
+            .collect();
+        if !data.is_empty() {
+            for (i, a) in want_lanes.iter().enumerate() {
+                for b in &want_lanes[i + 1..] {
+                    prop_assert_ne!(a, b);
+                }
+            }
+        }
+        for requested in [ShaBackend::Scalar, ShaBackend::X4, ShaBackend::ShaNi] {
             let installed = set_sha_backend(requested);
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
             prop_assert_eq!(h.finalize(), want, "backend {}", installed.name());
             prop_assert_eq!(nymix_crypto::sha256(&data), want, "backend {}", installed.name());
-            prop_assert_eq!(
-                sha256_x4(b"p:", [&data, &data, &data, &data]),
-                want_x4,
-                "backend {}",
-                installed.name()
-            );
+            let got = sha256_x4(b"p:", lane_refs);
+            for (l, want_lane) in want_lanes.iter().enumerate() {
+                prop_assert_eq!(&got[l], want_lane, "backend {} lane {}", installed.name(), l);
+            }
         }
         set_sha_backend(prev);
     }

@@ -213,25 +213,16 @@ impl Registry {
                          types, it does not hold key material"
                     .to_string(),
             }],
-            unsafe_kernels: vec![
-                Exemption {
-                    path_or_name: "crypto/src/sha256/shani.rs".to_string(),
-                    reason: "SHA-NI compression kernel: hardware intrinsics are \
-                             inherently unsafe. Compiled only under the opt-in \
-                             `simd-kernels` feature on x86_64, every kernel fn is \
-                             `#[target_feature]`-fenced, and the safe wrapper \
-                             re-verifies CPU features at runtime with a portable \
-                             fallback (PR 10)"
-                        .to_string(),
-                },
-                Exemption {
-                    path_or_name: "crypto/src/sha256/avx2.rs".to_string(),
-                    reason: "AVX2 four-lane kernel: a `#[target_feature]` \
-                             recompilation of the portable compressor under the same \
-                             feature gate, runtime detection and fallback (PR 10)"
-                        .to_string(),
-                },
-            ],
+            unsafe_kernels: vec![Exemption {
+                path_or_name: "crypto/src/sha256/shani.rs".to_string(),
+                reason: "SHA-NI compression kernel: hardware intrinsics are \
+                         inherently unsafe. Compiled into every x86_64 build and \
+                         selected by CPUID dispatch, every kernel fn is \
+                         `#[target_feature]`-fenced, and the safe wrapper \
+                         re-verifies CPU features at runtime with a portable \
+                         fallback"
+                    .to_string(),
+            }],
             obs_labels: Self::obs_vocabulary(),
         }
     }

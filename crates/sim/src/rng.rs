@@ -2,8 +2,10 @@
 //!
 //! A from-scratch xoshiro256** generator seeded via SplitMix64. The
 //! implementation is self-contained so simulation results are bit-stable
-//! regardless of external crate versions — important because
-//! `EXPERIMENTS.md` records exact measured numbers.
+//! regardless of external crate versions — important because the
+//! repository benchmark (declared in `BENCHMARK.json`, run with
+//! `python3 perfbench/run.py`) requires its modeled, byte and at-rest
+//! figures to repeat exactly per seed.
 
 /// SplitMix64 step, used for seeding.
 fn splitmix64(state: &mut u64) -> u64 {

@@ -365,8 +365,8 @@ impl ChunkIndex {
 /// length and hashed four lanes at a time on `sha256_x4`, so the
 /// scalar-hashed remainder shrinks from one-per-record-tail to
 /// one-per-distinct-length. Produces exactly the IDs
-/// [`ChunkManifest::build`] would — the store pipeline uses this to
-/// amortize hashing across every session of a fleet save.
+/// [`ChunkManifest::build`] would — the store pipeline builds each
+/// session's records of a fleet save with one call.
 pub fn build_manifests(datas: &[&[u8]]) -> Vec<ChunkManifest> {
     let mut manifests: Vec<ChunkManifest> = datas
         .iter()

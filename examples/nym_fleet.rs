@@ -5,8 +5,8 @@
 //!
 //! Eight persistent nyms browse different sites, then snapshot
 //! *together* through the batched store pipeline: dirty-detection per
-//! session, chunk hashing batched across sessions, sealing on one
-//! thread per session, and one backend round trip per destination.
+//! session, chunk hashing and sealing spread over the host's cores,
+//! and one backend round trip per destination.
 //! The whole fleet is then destroyed (amnesia) and restored, and each
 //! nym's state comes back isolated — no nym's chunks, deltas or base
 //! can satisfy another's restore. Then the fleet snapshots to the
