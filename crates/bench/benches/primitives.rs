@@ -125,7 +125,8 @@ fn bench_seal(c: &mut Criterion) {
     // [`ArchiveCommitment`] (O(dirty) leaves + root path, no full-set
     // rehash), and keyed-seals the delta (no KDF). Compare against
     // seal_64k (the full re-seal a delta avoids) and the `_scratch`
-    // variant (the pre-incremental diff that re-Merkled everything).
+    // variant (a one-off diff through a cold commitment, which hashes
+    // every record).
     use nymix_store::{
         seal_delta_keyed_into, unseal_keyed_raw_into, ArchiveCommitment, DeltaArchive, SealKey,
         SealScratch,
@@ -175,15 +176,16 @@ fn bench_seal(c: &mut Criterion) {
             ))
         });
     });
-    // The pre-incremental baseline: a from-scratch diff byte-compares
-    // every record and re-Merkles the whole set per save.
+    // The cold baseline: a one-off diff byte-compares every record and
+    // builds a fresh commitment over the whole set per save.
     group.bench_function("delta_save_2dirty_of_64k_scratch", |b| {
         let mut rng = Rng::seed_from(7);
         let key = SealKey::derive("pw", "nym:bench", &mut rng);
         let mut scratch = SealScratch::new();
         let mut out = Vec::new();
         b.iter(|| {
-            let delta = DeltaArchive::diff(black_box(&prev), black_box(&next));
+            let mut commitment = ArchiveCommitment::build(black_box(&prev));
+            let delta = DeltaArchive::diff(&prev, black_box(&next), &mut commitment);
             seal_delta_keyed_into(
                 &delta,
                 &key,
@@ -281,7 +283,8 @@ fn bench_seal(c: &mut Criterion) {
         let mut scratch = SealScratch::new();
         let mut out = Vec::new();
         b.iter(|| {
-            let delta = DeltaArchive::diff(black_box(&raw_prev), black_box(&raw_next));
+            let mut commitment = ArchiveCommitment::build(black_box(&raw_prev));
+            let delta = DeltaArchive::diff(&raw_prev, black_box(&raw_next), &mut commitment);
             seal_delta_keyed_into(&delta, &key, "l#e1.1", &mut rng, &mut scratch, &mut out);
             black_box(out.len())
         });
@@ -328,7 +331,8 @@ fn bench_seal(c: &mut Criterion) {
             .expect("local put");
             let mut next_m = prev_m.clone();
             next_m.put("anonvm.disk", m2.to_bytes());
-            let delta = DeltaArchive::diff(&prev_m, &next_m);
+            let mut commitment = ArchiveCommitment::build(&prev_m);
+            let delta = DeltaArchive::diff(&prev_m, &next_m, &mut commitment);
             seal_delta_keyed_into(&delta, &key, "l#e1.1", &mut rng, &mut scratch, &mut out);
             black_box(uploaded + out.len())
         });
@@ -398,7 +402,7 @@ fn bench_seal(c: &mut Criterion) {
         let key = SealKey::derive("pw", "nym:bench", &mut rng);
         let mut scratch = SealScratch::new();
         let (mut out, mut work) = (Vec::new(), Vec::new());
-        let delta = DeltaArchive::diff(&prev, &next);
+        let delta = DeltaArchive::diff(&prev, &next, &mut ArchiveCommitment::build(&prev));
         seal_delta_keyed_into(
             &delta,
             &key,
@@ -412,8 +416,11 @@ fn bench_seal(c: &mut Criterion) {
                 unseal_keyed_raw_into(&out, &key, "nym:bench#e1.1", &mut work, &mut scratch)
                     .expect("opens");
             let delta = DeltaArchive::from_bytes(bytes).expect("parses");
+            // As restore runs it: a cold commitment over the base,
+            // advanced by the replay.
             let mut base = black_box(&prev).clone();
-            delta.apply(&mut base).expect("verifies");
+            let mut commitment = ArchiveCommitment::build(&base);
+            delta.apply(&mut base, &mut commitment).expect("verifies");
             black_box(base.record_count())
         });
     });

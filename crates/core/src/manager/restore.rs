@@ -2,7 +2,8 @@
 //! base, Merkle-verified delta replay, and chunk-manifest resolution,
 //! all failing closed on anything missing, tampered or transplanted.
 //! Split from [`super::pipeline`] (the write side) purely for module
-//! size; the two share the destination-backend plumbing defined there.
+//! size; both reach their storage destination through the backend
+//! plumbing in [`super::env`] (`dest_backend`).
 
 use nymix_net::Ip;
 use nymix_store::cas::{self, ChunkIndex, ChunkManifest};
@@ -115,7 +116,7 @@ pub(super) fn fetch_chain(
                     .map_err(|e| NymManagerError::Storage(e.to_string()))?
             };
             delta
-                .apply_with(&mut archive, &mut commitment)
+                .apply(&mut archive, &mut commitment)
                 .map_err(|e| NymManagerError::Storage(e.to_string()))?;
             delta_count = index;
         }

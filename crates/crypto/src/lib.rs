@@ -12,7 +12,8 @@
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
 //! * [`aead`] — RFC 8439 ChaCha20-Poly1305 AEAD.
-//! * [`merkle`] — binary Merkle hash tree over disk blocks.
+//! * [`merkle`] — binary Merkle tree: incremental commitments over
+//!   archive records and inclusion proofs over disk blocks.
 //! * [`ct`] — constant-time comparison helpers.
 //!
 //! # The in-place hot path
@@ -37,12 +38,14 @@
 //!   schedule window, and [`Sha256::update`] compresses aligned input
 //!   directly from the caller's slice (no staging buffer).
 //! * [`sha256_x4`] hashes four equal-length messages (with a shared
-//!   prefix) in one interleaved pass; [`MerkleTree::build`] batches leaf
-//!   and interior-node hashing on it.
-//! * [`MerkleAccumulator`] keeps a tree's leaf and interior nodes cached
-//!   between root computations, so recommitting after a few leaf edits
-//!   costs O(dirty · log n) hashes instead of O(n) — the delta-snapshot
-//!   save and restore-replay paths both ride on it.
+//!   prefix) in one interleaved pass; [`MerkleAccumulator`] batches
+//!   interior-node hashing on it.
+//! * [`MerkleAccumulator`] is the workspace's one Merkle tree. It keeps
+//!   leaf and interior nodes cached between root computations, so
+//!   recommitting after a few leaf edits costs O(dirty · log n) hashes
+//!   instead of O(n) — the delta-snapshot save and restore-replay paths
+//!   both ride on it — and its inclusion proofs back the verified
+//!   base-image reads.
 //!
 //! # SHA-256 backend dispatch
 //!
@@ -103,7 +106,7 @@ pub use aead::{open, open_in_place_detached, seal, seal_in_place_detached, AeadE
 pub use chacha20::ChaCha20;
 pub use hkdf::{hkdf_expand, hkdf_extract};
 pub use hmac::{hmac_sha256, HmacKey};
-pub use merkle::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator, MerkleTree};
+pub use merkle::{leaf_hash_parts, MerkleAccumulator};
 pub use pbkdf2::{pbkdf2_hmac_sha256, pbkdf2_hmac_sha256_into};
 pub use poly1305::{poly1305_tag, Poly1305};
 pub use sha256::{set_sha_backend, sha256, sha256_backend, sha256_x4, Sha256, ShaBackend};

@@ -1,4 +1,4 @@
-//! Binary Merkle hash tree over fixed-size disk blocks.
+//! Binary Merkle hash tree: incremental commitments and inclusion proofs.
 //!
 //! §3.4 of the paper: Nymix must guarantee that the read-only host OS
 //! partition shared by every AnonVM/CommVM was never modified — a single
@@ -6,15 +6,16 @@
 //! proposed (there unimplemented) mechanism checks "all disk blocks loaded
 //! from the host OS partition ... against a well-known Merkle tree as they
 //! are accessed, and safely shut\[s\] down ... if a modified block is
-//! detected". This module implements that tree; `nymix-fs` wires it into
-//! the base-image read path.
+//! detected". `nymix-fs` wires [`MerkleAccumulator`] proofs into the
+//! base-image read path; `nymix-store` keeps one accumulator per snapshot
+//! chain as the NYMD delta commitment (§3.5), recommitting only dirty
+//! records.
 //!
-//! Tree construction is built on the interleaved multi-buffer SHA-256
-//! kernel ([`sha256_x4`]): runs of four equal-length blocks hash in one
-//! lockstep pass (disk blocks are uniform, so in practice every leaf
-//! group batches), and interior levels — whose inputs are always exactly
-//! two 32-byte child hashes — batch four parents at a time. All levels
-//! live in one flat node array instead of per-level allocations.
+//! Leaves are domain-separated hashes of caller-framed bytes
+//! ([`leaf_hash_parts`]); interior levels — whose inputs are always
+//! exactly two 32-byte child hashes — batch four parents at a time on
+//! the interleaved multi-buffer kernel ([`sha256_x4`]). All levels live
+//! in one flat node array instead of per-level allocations.
 
 use crate::sha256::{sha256_x4, Sha256, DIGEST_LEN};
 
@@ -26,11 +27,10 @@ pub type Hash = [u8; DIGEST_LEN];
 const LEAF_TAG: u8 = 0x00;
 const NODE_TAG: u8 = 0x01;
 
-fn leaf_hash(block: &[u8]) -> Hash {
-    let mut h = Sha256::new();
-    h.update(&[LEAF_TAG]);
-    h.update(block);
-    h.finalize()
+/// What an empty tree commits to (all-zero is avoided to keep roots
+/// unambiguous).
+fn empty_root() -> Hash {
+    leaf_hash_parts(&[b"nymix:empty-merkle-tree"])
 }
 
 fn node_hash(left: &Hash, right: &Hash) -> Hash {
@@ -42,10 +42,10 @@ fn node_hash(left: &Hash, right: &Hash) -> Hash {
 }
 
 /// Hashes one leaf supplied as scattered parts, without materializing
-/// the concatenation. `leaf_hash_parts(&[a, b])` equals the leaf hash
-/// [`MerkleTree::build`] computes over the contiguous block `a ‖ b`, so
-/// callers whose leaves are framed records (length prefix + name +
-/// payload) can hash them with zero copies.
+/// the concatenation: `leaf_hash_parts(&[a, b])` equals
+/// `leaf_hash_parts(&[a ‖ b])`, so callers whose leaves are framed
+/// records (length prefix + name + payload) can hash them with zero
+/// copies, and a disk block is simply `leaf_hash_parts(&[block])`.
 pub fn leaf_hash_parts(parts: &[&[u8]]) -> Hash {
     let mut h = Sha256::new();
     h.update(&[LEAF_TAG]);
@@ -55,75 +55,46 @@ pub fn leaf_hash_parts(parts: &[&[u8]]) -> Hash {
     h.finalize()
 }
 
-/// Computes the root over an already-hashed leaf level, folding the
-/// scratch slice in place level by level — four parent nodes per
-/// [`sha256_x4`] pass, no per-level allocations. Commits to exactly the
-/// same root as [`MerkleTree::build`] over the corresponding blocks
-/// (odd nodes promote unchanged; the empty set commits to the stable
-/// empty-tree root).
-///
-/// The caller's buffer is consumed as working memory: reusing one
-/// buffer across calls makes repeated root computations (the delta-
-/// snapshot save path) allocation-free. Borrowing a slice instead of a
-/// `Vec` means callers that already own a hash array never copy it
-/// into a fresh vector just to fold it.
-pub fn merkle_root_from_leaves(leaves: &mut [Hash]) -> Hash {
-    let Some(&first) = leaves.first() else {
-        return leaf_hash(b"nymix:empty-merkle-tree");
-    };
-    if leaves.len() == 1 {
-        return first;
-    }
-    let mut width = leaves.len();
-    while width > 1 {
-        let pairs = width / 2;
-        let mut p = 0usize;
-        let mut stage = [[0u8; 2 * DIGEST_LEN]; 4];
-        while p + 4 <= pairs {
-            for (l, buf) in stage.iter_mut().enumerate() {
-                buf[..DIGEST_LEN].copy_from_slice(&leaves[2 * (p + l)]);
-                buf[DIGEST_LEN..].copy_from_slice(&leaves[2 * (p + l) + 1]);
-            }
-            let parents = sha256_x4(&[NODE_TAG], [&stage[0], &stage[1], &stage[2], &stage[3]]);
-            leaves[p..p + 4].copy_from_slice(&parents);
-            p += 4;
-        }
-        while p < pairs {
-            leaves[p] = node_hash(&leaves[2 * p], &leaves[2 * p + 1]);
-            p += 1;
-        }
-        if width % 2 == 1 {
-            // Promote the odd node unchanged.
-            leaves[pairs] = leaves[width - 1];
-        }
-        width = width.div_ceil(2);
-    }
-    leaves[0]
-}
-
 /// An incrementally-maintained Merkle tree over pre-hashed leaves.
 ///
-/// Where [`merkle_root_from_leaves`] recomputes the whole tree on
-/// every call — O(n) hashing even when one leaf changed — the
-/// accumulator keeps every interior node cached between calls, so
+/// The accumulator keeps every interior node cached between calls, so
 /// [`MerkleAccumulator::update_leaf`] recomputes only the changed
 /// leaf's root path: O(log n) hashes per dirty leaf. That turns the
 /// delta-snapshot commitment from O(archive) into O(dirty · log n),
-/// and the restore-replay verify side reuses the same structure.
+/// and the restore-replay verify side reuses the same structure. A
+/// from-scratch root is just a cold accumulator: push every leaf, then
+/// query [`MerkleAccumulator::root`].
 ///
-/// Commits to *exactly* the same root as [`merkle_root_from_leaves`]
-/// and [`MerkleTree::build`] over the same leaves (odd nodes promote
-/// unchanged; the empty set commits to the stable empty-tree root) —
-/// `incremental_matches_scratch` in this module and the crypto crate's
-/// proptests pin the equivalence bit-for-bit.
+/// An odd node at any level is promoted unchanged (Bitcoin-style
+/// duplication is avoided, which cannot introduce ambiguity because the
+/// leaf count is part of every verification); the empty set commits to
+/// a stable empty-tree root. `incremental_matches_scratch` in this
+/// module and the crypto crate's proptests pin the incremental root
+/// bit-for-bit against a per-level scalar reference fold.
 ///
 /// Structural edits ([`MerkleAccumulator::push_leaf`],
 /// [`MerkleAccumulator::truncate`]) change the tree shape, so they
 /// mark the cached interior stale; the next [`MerkleAccumulator::root`]
-/// call rebuilds it in one batched pass (reusing the node buffer — no
-/// steady-state allocation). The warm path — `update_leaf` on an
-/// unchanged leaf count followed by `root` — allocates nothing, which
-/// the store crate's no-alloc guard pins.
+/// or [`MerkleAccumulator::prove`] call rebuilds it in one batched
+/// pass (reusing the node buffer — no steady-state allocation). The
+/// warm path — `update_leaf` on an unchanged leaf count followed by
+/// `root` — allocates nothing, which the store crate's no-alloc guard
+/// pins.
+///
+/// # Examples
+///
+/// ```
+/// use nymix_crypto::{leaf_hash_parts, MerkleAccumulator};
+///
+/// let blocks: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
+/// let mut tree = MerkleAccumulator::new();
+/// for block in &blocks {
+///     tree.push_leaf(leaf_hash_parts(&[block]));
+/// }
+/// let proof = tree.prove(2).unwrap();
+/// let leaf = leaf_hash_parts(&[&blocks[2]]);
+/// assert!(MerkleAccumulator::verify(&tree.root(), 2, &leaf, &proof, 4));
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct MerkleAccumulator {
     /// Leaves first (`nodes[..leaf_count]`), then — when
@@ -246,9 +217,8 @@ impl MerkleAccumulator {
     }
 
     /// Rebuilds every interior level bottom-up in the flat node array,
-    /// batching four parents per [`sha256_x4`] pass — the same
-    /// traversal as [`MerkleTree::build`], reusing this accumulator's
-    /// buffers.
+    /// batching four parents per [`sha256_x4`] pass and reusing this
+    /// accumulator's buffers.
     fn rebuild_interior(&mut self) {
         self.nodes.truncate(self.leaf_count);
         self.level_starts.clear();
@@ -299,177 +269,55 @@ impl MerkleAccumulator {
         }
         match self.nodes.last() {
             Some(root) => *root,
-            None => leaf_hash(b"nymix:empty-merkle-tree"),
-        }
-    }
-}
-
-/// A Merkle tree committed over an ordered sequence of blocks.
-///
-/// Levels are stored bottom-up, concatenated in one flat node array with
-/// a start offset per level; an odd node at any level is promoted
-/// unchanged (Bitcoin-style duplication is avoided, which cannot
-/// introduce ambiguity because the block count is part of the committed
-/// header).
-#[derive(Debug, Clone)]
-pub struct MerkleTree {
-    /// Every level's nodes, bottom-up: leaves first, root last.
-    nodes: Vec<Hash>,
-    /// Start index of each level within `nodes`.
-    level_starts: Vec<usize>,
-    block_count: usize,
-}
-
-impl MerkleTree {
-    /// Builds a tree over `blocks`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nymix_crypto::MerkleTree;
-    ///
-    /// let blocks: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
-    /// let tree = MerkleTree::build(blocks.iter().map(|b| b.as_slice()));
-    /// let proof = tree.prove(2).unwrap();
-    /// assert!(MerkleTree::verify(&tree.root(), 2, &blocks[2], &proof, 4));
-    /// ```
-    pub fn build<'a, I>(blocks: I) -> Self
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let blocks: Vec<&[u8]> = blocks.into_iter().collect();
-        let block_count = blocks.len();
-        // A tree over n leaves has at most 2n nodes (plus promotions).
-        let mut nodes: Vec<Hash> = Vec::with_capacity(2 * block_count + 2);
-
-        // Leaves: batch runs of four equal-length blocks through the
-        // interleaved kernel; ragged runs fall back to scalar hashing.
-        let mut i = 0;
-        while i < block_count {
-            if i + 4 <= block_count
-                && blocks[i + 1..i + 4]
-                    .iter()
-                    .all(|b| b.len() == blocks[i].len())
-            {
-                nodes.extend_from_slice(&sha256_x4(
-                    &[LEAF_TAG],
-                    [blocks[i], blocks[i + 1], blocks[i + 2], blocks[i + 3]],
-                ));
-                i += 4;
-            } else {
-                nodes.push(leaf_hash(blocks[i]));
-                i += 1;
-            }
-        }
-
-        // Interior levels: pair inputs are 64 bytes of adjacent child
-        // hashes, staged four pairs at a time for the lockstep kernel.
-        let mut level_starts = vec![0usize];
-        let mut start = 0usize;
-        let mut width = block_count;
-        while width > 1 {
-            let next_start = nodes.len();
-            let pairs = width / 2;
-            let mut p = 0usize;
-            let mut stage = [[0u8; 2 * DIGEST_LEN]; 4];
-            while p + 4 <= pairs {
-                for (l, buf) in stage.iter_mut().enumerate() {
-                    let child = start + 2 * (p + l);
-                    buf[..DIGEST_LEN].copy_from_slice(&nodes[child]);
-                    buf[DIGEST_LEN..].copy_from_slice(&nodes[child + 1]);
-                }
-                nodes.extend_from_slice(&sha256_x4(
-                    &[NODE_TAG],
-                    [&stage[0], &stage[1], &stage[2], &stage[3]],
-                ));
-                p += 4;
-            }
-            while p < pairs {
-                let child = start + 2 * p;
-                let h = node_hash(&nodes[child], &nodes[child + 1]);
-                nodes.push(h);
-                p += 1;
-            }
-            if width % 2 == 1 {
-                // Promote the odd node unchanged.
-                let last = nodes[start + width - 1];
-                nodes.push(last);
-            }
-            level_starts.push(next_start);
-            start = next_start;
-            width = width.div_ceil(2);
-        }
-        Self {
-            nodes,
-            level_starts,
-            block_count,
+            None => empty_root(),
         }
     }
 
-    /// Number of committed blocks.
-    pub fn block_count(&self) -> usize {
-        self.block_count
-    }
-
-    /// The nodes of level `index` (0 = leaves).
-    fn level(&self, index: usize) -> &[Hash] {
-        let start = self.level_starts[index];
-        let end = self
-            .level_starts
-            .get(index + 1)
-            .copied()
-            .unwrap_or(self.nodes.len());
-        &self.nodes[start..end]
-    }
-
-    /// The root commitment. An empty tree commits to the hash of the
-    /// empty leaf set (all-zero is avoided to keep roots unambiguous).
-    pub fn root(&self) -> Hash {
-        match self.nodes.last() {
-            Some(root) => *root,
-            None => leaf_hash(b"nymix:empty-merkle-tree"),
-        }
-    }
-
-    /// Produces the sibling path proving block `index`.
-    ///
-    /// Each element is `(sibling_hash, sibling_is_left)`.
-    pub fn prove(&self, index: usize) -> Option<Vec<(Hash, bool)>> {
-        if index >= self.block_count {
+    /// Produces the sibling path proving leaf `index`, rebuilding the
+    /// interior first if a structural edit invalidated it. Each element
+    /// is `(sibling_hash, sibling_is_left)`; `None` when `index` is out
+    /// of range (including every index of an empty tree).
+    pub fn prove(&mut self, index: usize) -> Option<Vec<(Hash, bool)>> {
+        if index >= self.leaf_count {
             return None;
+        }
+        if !self.interior_valid {
+            self.rebuild_interior();
         }
         let mut proof = Vec::new();
         let mut pos = index;
-        for li in 0..self.level_starts.len().saturating_sub(1) {
-            let level = self.level(li);
+        let mut width = self.leaf_count;
+        for &start in &self.level_starts {
             let sibling = pos ^ 1;
-            if sibling < level.len() {
-                proof.push((level[sibling], sibling < pos));
+            if sibling < width {
+                proof.push((self.nodes[start + sibling], sibling < pos));
             }
             pos /= 2;
+            width = width.div_ceil(2);
         }
         Some(proof)
     }
 
-    /// Verifies that `block` is the `index`-th of `block_count` blocks
-    /// under `root`.
+    /// Verifies that `leaf` is the `index`-th of `leaf_count` leaves
+    /// under `root`. Rejects an out-of-range index, a proof of the
+    /// wrong length, and any sibling whose claimed orientation
+    /// disagrees with `index`.
     pub fn verify(
         root: &Hash,
         index: usize,
-        block: &[u8],
+        leaf: &Hash,
         proof: &[(Hash, bool)],
-        block_count: usize,
+        leaf_count: usize,
     ) -> bool {
-        if index >= block_count {
+        if index >= leaf_count {
             return false;
         }
-        let mut acc = leaf_hash(block);
+        let mut acc = *leaf;
         let mut pos = index;
-        let mut width = block_count;
+        let mut width = leaf_count;
         let mut proof_iter = proof.iter();
         while width > 1 {
-            let has_sibling = (pos ^ 1) < width;
-            if has_sibling {
+            if (pos ^ 1) < width {
                 let Some((sibling, sibling_is_left)) = proof_iter.next() else {
                     return false;
                 };
@@ -494,20 +342,33 @@ impl MerkleTree {
 mod tests {
     use super::*;
 
+    fn leaf_hash(block: &[u8]) -> Hash {
+        leaf_hash_parts(&[block])
+    }
+
     fn blocks(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("block-{i}").into_bytes()).collect()
     }
 
-    fn build(n: usize) -> (MerkleTree, Vec<Vec<u8>>) {
-        let b = blocks(n);
-        let t = MerkleTree::build(b.iter().map(|x| x.as_slice()));
-        (t, b)
+    fn accumulate(leaves: &[Hash]) -> MerkleAccumulator {
+        let mut acc = MerkleAccumulator::new();
+        for leaf in leaves {
+            acc.push_leaf(*leaf);
+        }
+        acc
     }
 
-    /// Reference build: scalar hashing, per-level vectors, as the seed
-    /// implemented it. The batched build must commit to the same root.
-    fn reference_root(blocks: &[Vec<u8>]) -> Hash {
-        let mut level: Vec<Hash> = blocks.iter().map(|b| leaf_hash(b)).collect();
+    fn build(n: usize) -> (MerkleAccumulator, Vec<Vec<u8>>) {
+        let b = blocks(n);
+        let leaves: Vec<Hash> = b.iter().map(|x| leaf_hash(x)).collect();
+        (accumulate(&leaves), b)
+    }
+
+    /// Reference fold: scalar hashing, one fresh vector per level,
+    /// sharing nothing with the accumulator's flat-array x4 rebuild.
+    /// The accumulator must commit to the same root.
+    fn reference_root(leaves: &[Hash]) -> Hash {
+        let mut level = leaves.to_vec();
         if level.is_empty() {
             return leaf_hash(b"nymix:empty-merkle-tree");
         }
@@ -529,11 +390,12 @@ mod tests {
     #[test]
     fn all_proofs_verify_for_various_sizes() {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31] {
-            let (tree, data) = build(n);
+            let (mut tree, data) = build(n);
+            let root = tree.root();
             for (i, block) in data.iter().enumerate() {
                 let proof = tree.prove(i).expect("in range");
                 assert!(
-                    MerkleTree::verify(&tree.root(), i, block, &proof, n),
+                    MerkleAccumulator::verify(&root, i, &leaf_hash(block), &proof, n),
                     "n={n} i={i}"
                 );
             }
@@ -542,26 +404,25 @@ mod tests {
 
     #[test]
     fn batched_build_matches_scalar_reference() {
-        // Equal-length blocks (the x4 fast path) and ragged lengths (the
-        // scalar fallback) must both agree with the reference build.
+        // Every leaf count up to 33 crosses the x4 interior batch and
+        // its scalar tail at several levels; the rebuilt root must
+        // agree with the per-level reference fold.
         for n in 0usize..=33 {
-            let uniform: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 64]).collect();
-            let tree = MerkleTree::build(uniform.iter().map(|b| b.as_slice()));
-            assert_eq!(tree.root(), reference_root(&uniform), "uniform n={n}");
+            let uniform: Vec<Hash> = (0..n).map(|i| leaf_hash(&[i as u8; 64])).collect();
+            assert_eq!(
+                accumulate(&uniform).root(),
+                reference_root(&uniform),
+                "uniform n={n}"
+            );
 
-            let ragged: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 1 + (i % 7)]).collect();
-            let tree = MerkleTree::build(ragged.iter().map(|b| b.as_slice()));
-            assert_eq!(tree.root(), reference_root(&ragged), "ragged n={n}");
-        }
-    }
-
-    #[test]
-    fn root_from_leaves_matches_full_build() {
-        for n in 0usize..=33 {
-            let data = blocks(n);
-            let tree = MerkleTree::build(data.iter().map(|b| b.as_slice()));
-            let mut leaves: Vec<Hash> = data.iter().map(|b| leaf_hash(b)).collect();
-            assert_eq!(merkle_root_from_leaves(&mut leaves), tree.root(), "n={n}");
+            let ragged: Vec<Hash> = (0..n)
+                .map(|i| leaf_hash(&vec![i as u8; 1 + (i % 7)]))
+                .collect();
+            assert_eq!(
+                accumulate(&ragged).root(),
+                reference_root(&ragged),
+                "ragged n={n}"
+            );
         }
     }
 
@@ -571,21 +432,14 @@ mod tests {
         // accumulator must commit to the same root as a from-scratch
         // fold over the mutated leaf level.
         for n in 1usize..=33 {
-            let mut acc = MerkleAccumulator::new();
             let mut leaves: Vec<Hash> = (0..n).map(|i| leaf_hash(&[i as u8; 9])).collect();
-            for leaf in &leaves {
-                acc.push_leaf(*leaf);
-            }
-            assert_eq!(acc.root(), merkle_root_from_leaves(&mut leaves.clone()));
+            let mut acc = accumulate(&leaves);
+            assert_eq!(acc.root(), reference_root(&leaves));
             for dirty in 0..n {
                 let new_leaf = leaf_hash(format!("dirty-{n}-{dirty}").as_bytes());
                 leaves[dirty] = new_leaf;
                 acc.update_leaf(dirty, new_leaf);
-                assert_eq!(
-                    acc.root(),
-                    merkle_root_from_leaves(&mut leaves.clone()),
-                    "n={n} dirty={dirty}"
-                );
+                assert_eq!(acc.root(), reference_root(&leaves), "n={n} dirty={dirty}");
             }
         }
     }
@@ -596,25 +450,17 @@ mod tests {
         // must still agree with a from-scratch fold.
         let mut acc = MerkleAccumulator::new();
         let mut leaves: Vec<Hash> = Vec::new();
-        assert_eq!(acc.root(), merkle_root_from_leaves(&mut leaves.clone()));
+        assert_eq!(acc.root(), reference_root(&leaves));
         for i in 0..17u8 {
             let leaf = leaf_hash(&[i; 5]);
             acc.push_leaf(leaf);
             leaves.push(leaf);
-            assert_eq!(
-                acc.root(),
-                merkle_root_from_leaves(&mut leaves.clone()),
-                "grow {i}"
-            );
+            assert_eq!(acc.root(), reference_root(&leaves), "grow {i}");
         }
         for len in (0..17usize).rev() {
             acc.truncate(len);
             leaves.truncate(len);
-            assert_eq!(
-                acc.root(),
-                merkle_root_from_leaves(&mut leaves.clone()),
-                "shrink {len}"
-            );
+            assert_eq!(acc.root(), reference_root(&leaves), "shrink {len}");
             assert_eq!(acc.leaf_count(), len);
         }
     }
@@ -649,11 +495,7 @@ mod tests {
                 }
                 _ => {}
             }
-            assert_eq!(
-                acc.root(),
-                merkle_root_from_leaves(&mut leaves.clone()),
-                "step {step}"
-            );
+            assert_eq!(acc.root(), reference_root(&leaves), "step {step}");
         }
     }
 
@@ -675,40 +517,48 @@ mod tests {
 
     #[test]
     fn modified_block_rejected() {
-        let (tree, data) = build(8);
+        let (mut tree, data) = build(8);
         let proof = tree.prove(3).unwrap();
         let mut tampered = data[3].clone();
         tampered[0] ^= 0x80;
-        assert!(!MerkleTree::verify(&tree.root(), 3, &tampered, &proof, 8));
+        let leaf = leaf_hash(&tampered);
+        let root = tree.root();
+        assert!(!MerkleAccumulator::verify(&root, 3, &leaf, &proof, 8));
     }
 
     #[test]
     fn wrong_index_rejected() {
-        let (tree, data) = build(8);
+        let (mut tree, data) = build(8);
         let proof = tree.prove(3).unwrap();
-        assert!(!MerkleTree::verify(&tree.root(), 4, &data[3], &proof, 8));
+        let leaf = leaf_hash(&data[3]);
+        let root = tree.root();
+        assert!(!MerkleAccumulator::verify(&root, 4, &leaf, &proof, 8));
     }
 
     #[test]
     fn truncated_proof_rejected() {
-        let (tree, data) = build(8);
+        let (mut tree, data) = build(8);
         let mut proof = tree.prove(3).unwrap();
         proof.pop();
-        assert!(!MerkleTree::verify(&tree.root(), 3, &data[3], &proof, 8));
+        let leaf = leaf_hash(&data[3]);
+        let root = tree.root();
+        assert!(!MerkleAccumulator::verify(&root, 3, &leaf, &proof, 8));
     }
 
     #[test]
     fn extended_proof_rejected() {
-        let (tree, data) = build(8);
+        let (mut tree, data) = build(8);
         let mut proof = tree.prove(3).unwrap();
         proof.push(([0u8; 32], false));
-        assert!(!MerkleTree::verify(&tree.root(), 3, &data[3], &proof, 8));
+        let leaf = leaf_hash(&data[3]);
+        let root = tree.root();
+        assert!(!MerkleAccumulator::verify(&root, 3, &leaf, &proof, 8));
     }
 
     #[test]
     fn leaf_cannot_impersonate_node() {
         // Hash of (left||right) as a *leaf* must not equal the parent node.
-        let (tree, data) = build(2);
+        let (mut tree, data) = build(2);
         let l = leaf_hash(&data[0]);
         let r = leaf_hash(&data[1]);
         let mut fake = Vec::new();
@@ -719,24 +569,26 @@ mod tests {
 
     #[test]
     fn out_of_range_proof_is_none() {
-        let (tree, _) = build(4);
+        let (mut tree, _) = build(4);
         assert!(tree.prove(4).is_none());
+        assert!(MerkleAccumulator::new().prove(0).is_none());
     }
 
     #[test]
     fn empty_tree_has_stable_root() {
-        let t1 = MerkleTree::build(core::iter::empty());
-        let t2 = MerkleTree::build(core::iter::empty());
+        let mut t1 = MerkleAccumulator::new();
+        let mut t2 = MerkleAccumulator::new();
         assert_eq!(t1.root(), t2.root());
-        assert_eq!(t1.block_count(), 0);
+        assert_eq!(t1.root(), reference_root(&[]));
+        assert_eq!(t1.leaf_count(), 0);
     }
 
     #[test]
     fn roots_differ_on_any_block_change() {
-        let (t1, _) = build(5);
+        let (mut t1, _) = build(5);
         let mut data = blocks(5);
         data[4][0] ^= 1;
-        let t2 = MerkleTree::build(data.iter().map(|x| x.as_slice()));
-        assert_ne!(t1.root(), t2.root());
+        let leaves: Vec<Hash> = data.iter().map(|b| leaf_hash(b)).collect();
+        assert_ne!(t1.root(), accumulate(&leaves).root());
     }
 }

@@ -1,10 +1,50 @@
 //! Property-based tests for the crypto primitives.
 
 use nymix_crypto::{
-    open, open_in_place_detached, poly1305_tag, seal, seal_in_place_detached, ChaCha20, HmacKey,
-    MerkleTree, Poly1305, Sha256,
+    leaf_hash_parts, open, open_in_place_detached, poly1305_tag, seal, seal_in_place_detached,
+    ChaCha20, HmacKey, MerkleAccumulator, Poly1305, Sha256,
 };
 use proptest::prelude::*;
+
+/// Per-level scalar Merkle fold over a leaf level, written from the
+/// tree's definition (`0x01 ‖ left ‖ right` parents, odd nodes promoted,
+/// a tagged constant for the empty tree) rather than through the
+/// accumulator it checks.
+fn reference_root(leaves: &[[u8; 32]]) -> [u8; 32] {
+    if leaves.is_empty() {
+        return leaf_hash_parts(&[b"nymix:empty-merkle-tree"]);
+    }
+    let mut level = leaves.to_vec();
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| match pair {
+                [l, r] => {
+                    let mut h = Sha256::new();
+                    h.update(&[0x01]);
+                    h.update(l);
+                    h.update(r);
+                    h.finalize()
+                }
+                [odd] => *odd,
+                _ => unreachable!("chunks(2)"),
+            })
+            .collect();
+    }
+    level[0]
+}
+
+fn block_leaves(blocks: &[Vec<u8>]) -> Vec<[u8; 32]> {
+    blocks.iter().map(|b| leaf_hash_parts(&[b])).collect()
+}
+
+fn block_tree(blocks: &[Vec<u8>]) -> MerkleAccumulator {
+    let mut tree = MerkleAccumulator::new();
+    for leaf in block_leaves(blocks) {
+        tree.push_leaf(leaf);
+    }
+    tree
+}
 
 /// Literal RFC 2104: pad the key, run two full hashes from scratch. The
 /// midstate-cached `HmacKey` must agree bit-for-bit on everything.
@@ -85,11 +125,13 @@ proptest! {
     #[test]
     fn merkle_proofs_verify(blocks in proptest::collection::vec(
         proptest::collection::vec(any::<u8>(), 0..64), 1..40)) {
-        let tree = MerkleTree::build(blocks.iter().map(|b| b.as_slice()));
+        let mut tree = block_tree(&blocks);
+        let root = tree.root();
+        prop_assert_eq!(root, reference_root(&block_leaves(&blocks)));
         let n = blocks.len();
         for (i, b) in blocks.iter().enumerate() {
             let proof = tree.prove(i).unwrap();
-            prop_assert!(MerkleTree::verify(&tree.root(), i, b, &proof, n));
+            prop_assert!(MerkleAccumulator::verify(&root, i, &leaf_hash_parts(&[b]), &proof, n));
         }
     }
 
@@ -99,9 +141,110 @@ proptest! {
         let n = blocks.len();
         let (i, j) = (i % n, j % n);
         prop_assume!(i != j && blocks[i] != blocks[j]);
-        let tree = MerkleTree::build(blocks.iter().map(|b| b.as_slice()));
+        let mut tree = block_tree(&blocks);
         let proof = tree.prove(i).unwrap();
-        prop_assert!(!MerkleTree::verify(&tree.root(), i, &blocks[j], &proof, n));
+        let wrong = leaf_hash_parts(&[&blocks[j]]);
+        prop_assert!(!MerkleAccumulator::verify(&tree.root(), i, &wrong, &proof, n));
+    }
+
+    #[test]
+    fn merkle_proofs_verify_after_random_edits(
+        initial in proptest::collection::vec(any::<u8>(), 0..40),
+        ops in proptest::collection::vec((any::<u8>(), any::<u16>()), 0..40)
+    ) {
+        // Proofs taken straight after arbitrary update/push/truncate
+        // sequences (no root query in between, so `prove` itself must
+        // rebuild a stale interior) verify against `root()` for every
+        // leaf, and `root()` matches the reference fold.
+        let mut acc = MerkleAccumulator::new();
+        let mut model: Vec<[u8; 32]> = Vec::new();
+        for b in &initial {
+            let leaf = leaf_hash_parts(&[&[*b]]);
+            acc.push_leaf(leaf);
+            model.push(leaf);
+        }
+        for (step, (op, arg)) in ops.iter().enumerate() {
+            match op % 3 {
+                0 => {
+                    let leaf = leaf_hash_parts(&[&arg.to_le_bytes(), &[step as u8]]);
+                    acc.push_leaf(leaf);
+                    model.push(leaf);
+                }
+                1 if !model.is_empty() => {
+                    let idx = *arg as usize % model.len();
+                    let leaf = leaf_hash_parts(&[&arg.to_be_bytes(), &(step as u32).to_le_bytes()]);
+                    acc.update_leaf(idx, leaf);
+                    model[idx] = leaf;
+                }
+                2 => {
+                    let len = *arg as usize % (model.len() + 1);
+                    acc.truncate(len);
+                    model.truncate(len);
+                }
+                _ => {}
+            }
+            let n = model.len();
+            let proofs: Vec<_> = (0..n).map(|i| acc.prove(i).unwrap()).collect();
+            prop_assert!(acc.prove(n).is_none());
+            let root = acc.root();
+            prop_assert_eq!(root, reference_root(&model), "step {}", step);
+            for (i, proof) in proofs.iter().enumerate() {
+                prop_assert!(MerkleAccumulator::verify(&root, i, &model[i], proof, n),
+                    "step {} leaf {}", step, i);
+            }
+        }
+    }
+
+    #[test]
+    fn merkle_stale_proof_rejected_after_update(
+        blocks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..32), 2..33),
+        i in any::<usize>(), j in any::<usize>(), fresh in any::<u64>()
+    ) {
+        // A proof of leaf i taken before leaf j (j != i) changes still
+        // verifies against the old root, and must be rejected against
+        // the new one: the changed leaf sits under one of i's siblings.
+        let n = blocks.len();
+        let (i, j) = (i % n, j % n);
+        prop_assume!(i != j);
+        let mut tree = block_tree(&blocks);
+        let old_root = tree.root();
+        let proof = tree.prove(i).unwrap();
+        let leaf_i = leaf_hash_parts(&[&blocks[i]]);
+        let new_leaf = leaf_hash_parts(&[b"fresh", &fresh.to_le_bytes()]);
+        prop_assume!(new_leaf != leaf_hash_parts(&[&blocks[j]]));
+        tree.update_leaf(j, new_leaf);
+        prop_assert!(MerkleAccumulator::verify(&old_root, i, &leaf_i, &proof, n));
+        prop_assert!(!MerkleAccumulator::verify(&tree.root(), i, &leaf_i, &proof, n));
+        // Updating i itself: its old leaf no longer verifies either.
+        tree.update_leaf(i, new_leaf);
+        prop_assert!(!MerkleAccumulator::verify(&tree.root(), i, &leaf_i, &proof, n));
+    }
+
+    #[test]
+    fn merkle_malformed_proofs_rejected(
+        blocks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 2..33),
+        i in any::<usize>(), flip in any::<usize>(), extra in 0usize..4
+    ) {
+        let n = blocks.len();
+        let i = i % n;
+        let mut tree = block_tree(&blocks);
+        let root = tree.root();
+        let leaf = leaf_hash_parts(&[&blocks[i]]);
+        let proof = tree.prove(i).unwrap();
+        prop_assert!(MerkleAccumulator::verify(&root, i, &leaf, &proof, n));
+        // Any flipped orientation bit.
+        let mut flipped = proof.clone();
+        let k = flip % flipped.len();
+        flipped[k].1 = !flipped[k].1;
+        prop_assert!(!MerkleAccumulator::verify(&root, i, &leaf, &flipped, n));
+        // An index at or past the leaf count, even with a valid proof.
+        prop_assert!(!MerkleAccumulator::verify(&root, n + extra, &leaf, &proof, n));
+        prop_assert!(tree.prove(n + extra).is_none());
+        // An empty tree proves nothing and verifies nothing.
+        let mut empty = MerkleAccumulator::new();
+        prop_assert!(empty.prove(extra).is_none());
+        prop_assert!(!MerkleAccumulator::verify(&empty.root(), 0, &leaf, &[], 0));
+        prop_assert!(!MerkleAccumulator::verify(&empty.root(), 0, &empty.root(), &[], 0));
     }
 
     #[test]
@@ -207,7 +350,6 @@ proptest! {
         // sets *and* leaf-count changes (push/truncate), checking after
         // every op that its root is bit-identical to a from-scratch
         // fold over the model leaf vector.
-        use nymix_crypto::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator};
         let mut acc = MerkleAccumulator::new();
         let mut model: Vec<[u8; 32]> = Vec::new();
         for b in &initial {
@@ -215,7 +357,7 @@ proptest! {
             acc.push_leaf(leaf);
             model.push(leaf);
         }
-        prop_assert_eq!(acc.root(), merkle_root_from_leaves(&mut model.clone()));
+        prop_assert_eq!(acc.root(), reference_root(&model));
         for (step, (op, arg)) in ops.iter().enumerate() {
             match op % 4 {
                 0 => {
@@ -244,7 +386,7 @@ proptest! {
             }
             prop_assert_eq!(
                 acc.root(),
-                merkle_root_from_leaves(&mut model.clone()),
+                reference_root(&model),
                 "step {}",
                 step
             );

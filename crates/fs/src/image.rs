@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use nymix_crypto::MerkleTree;
+use nymix_crypto::{leaf_hash_parts, MerkleAccumulator};
 
 use crate::layer::{Layer, LayerKind};
 use crate::path::Path;
@@ -75,9 +75,13 @@ impl BlockImage {
         Some(())
     }
 
-    /// Builds a Merkle tree over all blocks.
-    pub fn merkle(&self) -> MerkleTree {
-        MerkleTree::build(self.blocks.iter().map(|b| b.as_slice()))
+    /// Builds a Merkle tree over all blocks, one leaf per block.
+    pub fn merkle(&self) -> MerkleAccumulator {
+        let mut tree = MerkleAccumulator::new();
+        for block in &self.blocks {
+            tree.push_leaf(leaf_hash_parts(&[block]));
+        }
+        tree
     }
 }
 
@@ -117,7 +121,7 @@ pub struct VerifiedImage {
 impl VerifiedImage {
     /// Pins `image` to its current content.
     pub fn seal(image: BlockImage) -> Self {
-        let tree = image.merkle();
+        let mut tree = image.merkle();
         let proofs = (0..image.block_count())
             .map(|i| tree.prove(i).expect("index in range"))
             .collect();
@@ -157,7 +161,8 @@ impl VerifiedImage {
             .read_block(index)
             .ok_or(TamperDetected { block: index })?;
         let proof = &self.proofs[index];
-        if MerkleTree::verify(&self.root, index, block, proof, self.block_count) {
+        let leaf = leaf_hash_parts(&[block]);
+        if MerkleAccumulator::verify(&self.root, index, &leaf, proof, self.block_count) {
             self.verified_reads += 1;
             Ok(self.image.read_block(index).expect("checked above"))
         } else {

@@ -29,6 +29,10 @@ pub struct SecretType {
     pub rationale: String,
 }
 
+/// The `nymix-obs` registry source, whose marked vocabulary block
+/// [`Registry::obs_vocabulary`] extracts.
+const OBS_REGISTRY_SRC: &str = include_str!("../../obs/src/registry.rs");
+
 /// An error enum that must be matched exhaustively (no wildcard arms)
 /// in the registered paths, so a new variant forces a decision at
 /// every fail-closed site.
@@ -74,11 +78,9 @@ pub struct Registry {
     /// `unsafe` anywhere else in the workspace stays a hard finding.
     pub unsafe_kernels: Vec<Exemption>,
     /// The `nymix-obs` static vocabulary — every stage name, label
-    /// key, and metric name admissible at an obs macro call site.
-    /// Mirrors the tables between the `lint-vocabulary-begin/end`
-    /// markers in `crates/obs/src/registry.rs` (a cross-check test in
-    /// the lint crate keeps the two in sync). Empty = obs hygiene not
-    /// policed.
+    /// key, and metric name admissible at an obs macro call site. The
+    /// live registry reads it from `crates/obs/src/registry.rs`
+    /// ([`Registry::obs_vocabulary`]). Empty = obs hygiene not policed.
     pub obs_labels: Vec<String>,
 }
 
@@ -193,20 +195,12 @@ impl Registry {
             }],
             seal_fns: vec!["seal_in_place_detached".to_string()],
             ct_module: "crypto/src/ct.rs".to_string(),
-            exempt_parsers: vec![
-                Exemption {
-                    path_or_name: "store/src/disk/dev.rs".to_string(),
-                    reason: "SimDisk images are parsed only by the journal/heap readers \
-                             (both registered); dev.rs itself only stores bytes"
-                        .to_string(),
-                },
-                Exemption {
-                    path_or_name: "store/src/versioned.rs".to_string(),
-                    reason: "operates on names it generated itself; blob bytes flow \
-                             through the registered sealed/archive parsers"
-                        .to_string(),
-                },
-            ],
+            exempt_parsers: vec![Exemption {
+                path_or_name: "store/src/disk/dev.rs".to_string(),
+                reason: "SimDisk images are parsed only by the journal/heap readers \
+                         (both registered); dev.rs itself only stores bytes"
+                    .to_string(),
+            }],
             exempt_secrets: vec![Exemption {
                 path_or_name: "SecretType".to_string(),
                 reason: "nymix-lint's own registry metadata struct; it names secret \
@@ -227,75 +221,33 @@ impl Registry {
         }
     }
 
-    /// The `nymix-obs` vocabulary, mirroring the tables between the
-    /// `lint-vocabulary-begin/end` markers in
-    /// `crates/obs/src/registry.rs` — stages, label keys, counters,
-    /// gauges, histograms. `obs_vocabulary_matches_nymix_obs` in the
-    /// lint crate's tests fails if the two registries drift.
+    /// The `nymix-obs` vocabulary — stages, label keys, counters,
+    /// gauges, histograms: every string literal between the
+    /// `lint-vocabulary-begin/end` marker lines of
+    /// `crates/obs/src/registry.rs`, read at compile time so the lint
+    /// and the recorder share one source of truth. Comment lines inside
+    /// the block are skipped.
     pub fn obs_vocabulary() -> Vec<String> {
-        [
-            // Stages.
-            "capture",
-            "chunk",
-            "seal",
-            "upload",
-            "fetch",
-            "replay",
-            "resolve",
-            "journal_commit",
-            "recovery",
-            "shard_write",
-            "quorum_wait",
-            "repair",
-            "browse",
-            "restore",
-            // Label keys.
-            "session",
-            "child",
-            "exit",
-            "bytes",
-            "objects",
-            "epoch",
-            "chunks",
-            // Counters.
-            "crypto.aead.seals",
-            "crypto.aead.opens",
-            "crypto.sha256.blocks",
-            "crypto.kdf.calls",
-            "cloud.auth",
-            "cloud.puts",
-            "cloud.gets",
-            "cloud.ops",
-            "cloud.dropped",
-            "cloud.backoff_us",
-            "disk.commits",
-            "disk.recoveries",
-            "disk.writes",
-            "disk.bytes_written",
-            "disk.reads",
-            "disk.bytes_read",
-            "disk.fsyncs",
-            "disk.tier_hits",
-            "disk.tier_misses",
-            "placement.shard_writes",
-            "placement.shard_failures",
-            "placement.repair_passes",
-            "placement.shards_rebuilt",
-            "placement.deletes_flushed",
-            "merkle.cache_hit",
-            "merkle.leaf_rehash",
-            // Gauges.
-            "disk.garbage_bytes",
-            "placement.repair_queue",
-            "placement.pending_deletes",
-            "crypto.sha256.backend",
-            // Histograms.
-            "disk.commit_bytes",
-            "cloud.put_bytes",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
+        let mut names = Vec::new();
+        let mut inside = false;
+        for line in OBS_REGISTRY_SRC.lines().map(str::trim) {
+            match line {
+                "// lint-vocabulary-begin" => inside = true,
+                "// lint-vocabulary-end" => break,
+                _ if !inside || line.starts_with("//") => {}
+                _ => {
+                    let mut rest = line;
+                    while let Some((_, tail)) = rest.split_once('"') {
+                        let Some((name, after)) = tail.split_once('"') else {
+                            break;
+                        };
+                        names.push(name.to_string());
+                        rest = after;
+                    }
+                }
+            }
+        }
+        names
     }
 
     /// True when `rel_path` is a registered trust-boundary module.

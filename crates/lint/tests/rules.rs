@@ -292,42 +292,33 @@ fn obs_rule_inert_without_a_vocabulary() {
     );
 }
 
-/// The lint registry's obs vocabulary must stay in lock-step with the
-/// tables between the `lint-vocabulary-begin/end` markers in
-/// `crates/obs/src/registry.rs` — drift in either direction fails.
+/// The vocabulary the lint extracts from the marked block of
+/// `crates/obs/src/registry.rs` must be exactly the recorder's own
+/// tables — a table moved outside the markers, or a literal the
+/// extractor misreads, fails here.
 #[test]
 fn obs_vocabulary_matches_nymix_obs() {
-    let path = format!("{}/../obs/src/registry.rs", env!("CARGO_MANIFEST_DIR"));
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let begin = src
-        .find("lint-vocabulary-begin")
-        .expect("begin marker in obs registry");
-    let end = src
-        .find("lint-vocabulary-end")
-        .expect("end marker in obs registry");
-    let mut from_obs: Vec<String> = Vec::new();
-    for line in src[begin..end].lines() {
-        if line.trim_start().starts_with("//") {
-            continue;
-        }
-        let mut rest = line;
-        while let Some(a) = rest.find('"') {
-            let tail = &rest[a + 1..];
-            let Some(b) = tail.find('"') else { break };
-            from_obs.push(tail[..b].to_string());
-            rest = &tail[b + 1..];
-        }
-    }
+    use nymix_obs::registry::{COUNTERS, GAUGES, HISTOGRAMS, LABEL_KEYS, STAGES};
+    let mut from_obs: Vec<String> = [STAGES, LABEL_KEYS, COUNTERS, GAUGES, HISTOGRAMS]
+        .concat()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     from_obs.sort();
     from_obs.dedup();
     let mut from_lint = Registry::obs_vocabulary();
     from_lint.sort();
     from_lint.dedup();
-    assert_eq!(
-        from_obs, from_lint,
-        "nymix-obs registry and nymix-lint obs vocabulary drifted: update \
-         Registry::obs_vocabulary() to mirror crates/obs/src/registry.rs"
-    );
+    assert_eq!(from_obs, from_lint);
+}
+
+#[test]
+fn obs_vocabulary_extraction_is_populated() {
+    let vocab = Registry::obs_vocabulary();
+    assert!(!vocab.is_empty());
+    for name in ["seal", "merkle.leaf_rehash", "crypto.sha256.backend"] {
+        assert!(vocab.iter().any(|v| v == name), "{name} missing: {vocab:?}");
+    }
 }
 
 #[test]

@@ -15,10 +15,9 @@
 //! See `OBSERVABILITY.md` at the repo root for the span taxonomy and
 //! how to extend these tables.
 
-// The lint crate's `registry_matches_obs_vocabulary` test extracts
-// every string literal between the two marker comments below and
-// cross-checks it against `Registry::nymix().obs_labels`. Keep new
-// names inside the markers.
+// `nymix-lint` compiles this file in (`Registry::obs_vocabulary`) and
+// polices obs call sites with every string literal between the two
+// marker comments below. Keep new names inside the markers.
 
 // lint-vocabulary-begin
 

@@ -945,7 +945,7 @@ mod tests {
     /// than the record-granular NYMD delta re-sealing the whole record.
     #[test]
     fn chunked_delta_beats_record_delta_10x() {
-        use crate::delta::DeltaArchive;
+        use crate::delta::{ArchiveCommitment, DeltaArchive};
         use crate::NymArchive;
 
         let (key, mut rng, mut scratch) = chain();
@@ -985,7 +985,7 @@ mod tests {
             next.put("anonvm.disk", disk2.clone());
             (prev, next)
         };
-        let record_delta = DeltaArchive::diff(&prev, &next);
+        let record_delta = DeltaArchive::diff(&prev, &next, &mut ArchiveCommitment::build(&prev));
         let mut record_blob = Vec::new();
         crate::seal_delta_keyed_into(
             &record_delta,
@@ -1034,7 +1034,8 @@ mod tests {
             next.put("anonvm.disk", m2.to_bytes());
             (prev, next)
         };
-        let manifest_delta = DeltaArchive::diff(&prev_m, &next_m);
+        let manifest_delta =
+            DeltaArchive::diff(&prev_m, &next_m, &mut ArchiveCommitment::build(&prev_m));
         let mut manifest_blob = Vec::new();
         crate::seal_delta_keyed_into(
             &manifest_delta,

@@ -56,8 +56,6 @@
 //!   excluded by hash, never decoded), writes degrade to a quorum with
 //!   a repair queue, and [`placement::PlacementStore::repair`]
 //!   re-achieves full redundancy.
-//! * [`versioned`] — retained snapshot history with rollback (the
-//!   stained-snapshot escape hatch), generic over the backend.
 //!
 //! # Durability model
 //!
@@ -75,10 +73,15 @@
 //!   exactly the pre-batch or post-batch state is observable. See the
 //!   [`disk`] module docs for the commit protocol and the `NYMJ`
 //!   on-disk format.
-//! * Above any backend, [`VersionedStore`] keeps its snapshot index in
-//!   memory; [`VersionedStore::attach`] rebuilds it from a surviving
-//!   backend at next open and re-runs any retention sweep a crash
-//!   interrupted (sweeps are idempotent).
+//! * Above any backend, the snapshot chain keeps no index to rebuild:
+//!   the object names *are* the chain. `nymix-core`'s Nym Manager
+//!   recovers a nym by fetching its sealed base under the nym's label,
+//!   reading the chain epoch from the base's epoch record, then
+//!   fetching the deltas `{label}#e{epoch}.{i}` for `i = 1, 2, …` up to
+//!   [`DELTA_CHAIN_LIMIT`] (stopping at the first absent slot) and
+//!   replaying each through [`DeltaArchive::apply`], which fails closed
+//!   on any count or Merkle-root mismatch. Whatever a surviving backend
+//!   still holds is therefore restorable as-is.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,7 +97,6 @@ pub mod local;
 pub mod lzss;
 pub mod placement;
 pub mod sealed;
-pub mod versioned;
 
 pub use archive::NymArchive;
 pub use backend::{BackendError, ObjectBackend};
@@ -104,9 +106,7 @@ pub use cas::{
 };
 pub use chunker::{chunks, AVG_CHUNK, MAX_CHUNK, MIN_CHUNK};
 pub use cloud::{AccessLog, CloudError, CloudProvider, CloudSession};
-pub use delta::{
-    archive_merkle_root, ArchiveCommitment, DeltaArchive, DeltaError, DELTA_CHAIN_LIMIT,
-};
+pub use delta::{ArchiveCommitment, DeltaArchive, DeltaError, DELTA_CHAIN_LIMIT};
 pub use disk::{CrashMode, DiskError, DiskStore, FaultPlan, SimDisk};
 pub use local::LocalStore;
 pub use placement::{CloudChild, PlacementStore, RepairReport};
@@ -115,4 +115,3 @@ pub use sealed::{
     seal_delta_keyed_into, seal_into, seal_keyed_into, unseal_keyed_raw_into, unseal_raw_into,
     SealKey, SealScratch, SealedError,
 };
-pub use versioned::VersionedStore;

@@ -462,11 +462,11 @@ mod tests {
 
     #[test]
     fn delta_seal_roundtrips_under_chain_key() {
-        use crate::delta::DeltaArchive;
+        use crate::delta::{ArchiveCommitment, DeltaArchive};
         let prev = archive();
         let mut next = prev.clone();
         next.put("meta", b"nym=bob;site=twitter;v=2".to_vec());
-        let delta = DeltaArchive::diff(&prev, &next);
+        let delta = DeltaArchive::diff(&prev, &next, &mut ArchiveCommitment::build(&prev));
 
         let mut rng = Rng::seed_from(7);
         let key = SealKey::derive("pw", "nym:bob", &mut rng);
@@ -487,7 +487,8 @@ mod tests {
         let opened = DeltaArchive::from_bytes(bytes).unwrap();
         assert_eq!(opened, delta);
         let mut replayed = prev.clone();
-        opened.apply(&mut replayed).unwrap();
+        let mut commitment = ArchiveCommitment::build(&replayed);
+        opened.apply(&mut replayed, &mut commitment).unwrap();
         assert_eq!(replayed, next);
     }
 
@@ -528,9 +529,9 @@ mod tests {
     fn chain_position_cannot_be_spliced() {
         // Two deltas sealed under one chain key but different slot
         // labels: serving slot 1's blob in slot 2 must fail auth.
-        use crate::delta::DeltaArchive;
+        use crate::delta::{ArchiveCommitment, DeltaArchive};
         let a = archive();
-        let delta = DeltaArchive::diff(&a, &a);
+        let delta = DeltaArchive::diff(&a, &a, &mut ArchiveCommitment::build(&a));
         let mut rng = Rng::seed_from(9);
         let key = SealKey::derive("pw", "l", &mut rng);
         let mut scratch = SealScratch::new();

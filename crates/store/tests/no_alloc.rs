@@ -7,7 +7,7 @@ use alloc_counter::{allocations_in, CountingAlloc};
 use nymix_sim::Rng;
 use nymix_store::{
     chunker, seal_delta_keyed_into, seal_into, unseal_keyed_raw_into, unseal_raw_into,
-    DeltaArchive, NymArchive, SealKey, SealScratch,
+    ArchiveCommitment, DeltaArchive, NymArchive, SealKey, SealScratch,
 };
 
 #[global_allocator]
@@ -50,7 +50,7 @@ fn warm_delta_seal_pipeline_is_allocation_free() {
     let prev = archive();
     let mut next = prev.clone();
     next.put("meta", b"nym=alice;site=forum;rev=2".to_vec());
-    let delta = DeltaArchive::diff(&prev, &next);
+    let delta = DeltaArchive::diff(&prev, &next, &mut ArchiveCommitment::build(&prev));
 
     let mut rng = Rng::seed_from(5);
     let key = SealKey::derive("pw", "nym:alice", &mut rng);
@@ -92,7 +92,6 @@ fn warm_commitment_update_is_allocation_free() {
     // shape unchanged, re-committing after a dirty record rewrites one
     // leaf and the root path strictly in place — every save would
     // otherwise pay a heap round trip per record.
-    use nymix_store::ArchiveCommitment;
     let a = archive();
     let mut b = a.clone();
     b.put("meta", b"nym=alice;site=forum;rev=2".to_vec());

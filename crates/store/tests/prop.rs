@@ -2,7 +2,8 @@
 
 use nymix_sim::Rng;
 use nymix_store::{
-    chunker, lzss, open_sealed, seal_archive, ChunkManifest, DeltaArchive, NymArchive,
+    chunker, lzss, open_sealed, seal_archive, ArchiveCommitment, ChunkManifest, DeltaArchive,
+    NymArchive,
 };
 use proptest::prelude::*;
 
@@ -132,7 +133,7 @@ proptest! {
         let mut next = prev.clone();
         next.put("disk", [seed_data, vec![1, 2, 3]].concat());
         next.remove("meta");
-        let delta = DeltaArchive::diff(&prev, &next);
+        let delta = DeltaArchive::diff(&prev, &next, &mut ArchiveCommitment::build(&prev));
         let mut bytes = delta.to_bytes();
         let n = bytes.len();
         bytes[flip % n] ^= 1 << bit;
@@ -141,7 +142,8 @@ proptest! {
             // (the flip hit bytes outside the commitment's view, i.e.
             // re-encode identically) or fail closed — never panic.
             let mut base = prev.clone();
-            if mutated.apply(&mut base).is_ok() {
+            let mut commitment = ArchiveCommitment::build(&base);
+            if mutated.apply(&mut base, &mut commitment).is_ok() {
                 prop_assert_eq!(mutated.to_bytes(), delta.to_bytes());
             }
         }
